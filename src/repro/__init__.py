@@ -77,7 +77,6 @@ _LAZY_EXPORTS = {
     "get_default_dtype": "repro.nn.dtype",
     "set_default_dtype": "repro.nn.dtype",
     "default_dtype": "repro.nn.dtype",
-    "use_fused_kernels": "repro.graph.fused",
     "register_backend": "repro.backends",
     "unregister_backend": "repro.backends",
     "get_backend": "repro.backends",

@@ -342,7 +342,7 @@ class UnvalidatedIndexRule(LintRule):
         "scatter_max",
         "scatter_min",
         "build_messages",
-        "fused_aggregate",
+        "aggregate",
         "fused_edgeconv",
     }
     #: Calls that establish index validity within the same function.

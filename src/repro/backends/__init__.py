@@ -22,10 +22,9 @@ Shipped backends:
   test pins other backends to).
 * ``numpy-blocked`` — cache-blocked matmul and column-blocked segment
   reduction (allclose to the reference).
-* ``materialized`` — reference primitives with fused-kernel auto-dispatch
-  disabled; replaces the old ``set_fused_kernels(False)`` boolean toggle.
-* ``numba`` — JIT-compiled scatter/segment loops, registered only when the
-  optional ``numba`` package is importable.
+* ``materialized`` — reference primitives with fused-kernel dispatch
+  disabled: the materialized message-passing path the fused kernels are
+  tested against.
 
 This package imports nothing from ``repro.nn``/``repro.graph`` (they import
 *it*), so it is safe at the very bottom of the dependency graph.
@@ -35,7 +34,6 @@ from __future__ import annotations
 
 from repro.backends.base import ComputeBackend
 from repro.backends.blocked import NumpyBlockedBackend
-from repro.backends.numba_backend import NumbaBackend
 from repro.backends.numpy_backend import MaterializedBackend, NumpyBackend
 from repro.backends.registry import (
     active_backend,
@@ -53,7 +51,6 @@ __all__ = [
     "NumpyBackend",
     "NumpyBlockedBackend",
     "MaterializedBackend",
-    "NumbaBackend",
     "register_backend",
     "unregister_backend",
     "get_backend",
@@ -65,48 +62,20 @@ __all__ = [
     "backend_status",
 ]
 
-#: Optional backends probed (and registered) only when their dependency is
-#: importable; unavailable ones still show up in ``backend_status()``.
-_OPTIONAL_BACKENDS: tuple[type[ComputeBackend], ...] = (NumbaBackend,)
-
 register_backend(NumpyBackend())
 register_backend(NumpyBlockedBackend())
 register_backend(MaterializedBackend())
-for _optional in _OPTIONAL_BACKENDS:
-    if _optional.is_available():
-        register_backend(_optional())
 
 
 def backend_status() -> list[dict[str, object]]:
-    """Name/description/availability of every known backend (for the CLI).
-
-    Registered backends are available by definition; optional backends whose
-    dependency is missing are listed as unavailable so ``repro backends``
-    shows what *could* be enabled.
-    """
-    rows: list[dict[str, object]] = []
+    """Name, activity, dispatch policy and description of every backend (for the CLI)."""
     active = active_backend_name()
-    for name in list_backends():
-        backend = get_backend(name)
-        rows.append(
-            {
-                "name": name,
-                "available": True,
-                "active": name == active,
-                "fused_dispatch": backend.fused_dispatch,
-                "description": backend.description,
-            }
-        )
-    registered = set(list_backends())
-    for cls in _OPTIONAL_BACKENDS:
-        if cls.name not in registered:
-            rows.append(
-                {
-                    "name": cls.name,
-                    "available": False,
-                    "active": False,
-                    "fused_dispatch": cls.fused_dispatch,
-                    "description": cls.description,
-                }
-            )
-    return rows
+    return [
+        {
+            "name": name,
+            "active": name == active,
+            "fused_dispatch": get_backend(name).fused_dispatch,
+            "description": get_backend(name).description,
+        }
+        for name in list_backends()
+    ]

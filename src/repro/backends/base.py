@@ -8,7 +8,7 @@ fused CSR kernels (:mod:`repro.graph.fused`), the scatter aggregations
 (:mod:`repro.graph.message`) and the ``Linear`` matmul entry point
 (:mod:`repro.nn.functional`) all dispatch through the *active* backend
 (:func:`repro.backends.active_backend`) instead of calling numpy directly,
-so swapping the execution substrate (blocked numpy, numba, a GPU array
+so swapping the execution substrate (blocked numpy, a JIT or GPU array
 library) never touches a call site again.
 
 This module must stay import-light: backends are imported by the autograd
@@ -26,9 +26,9 @@ Contract notes
   by ``seg_starts``/``seg_counts`` (``reduceat`` semantics over non-empty
   segments); ``aggregator`` is one of ``sum``/``mean``/``max``/``min``,
   where ``mean`` reduces like ``sum`` — the caller divides by the counts.
-* ``fused_dispatch`` controls whether the models' no-grad forward passes
-  auto-dispatch to the fused CSR kernels; the ``materialized`` reference
-  backend sets it to ``False`` to reproduce the pre-fusion execution path.
+* ``fused_dispatch`` controls whether :func:`repro.graph.fused.aggregate`
+  dispatches to the fused CSR kernels; the ``materialized`` reference
+  backend sets it to ``False`` to run the pre-fusion execution path.
 """
 
 from __future__ import annotations
@@ -45,22 +45,13 @@ class ComputeBackend:
     name: str = "abstract"
     #: One-line human description shown by ``repro backends``.
     description: str = ""
-    #: Whether models auto-dispatch to the fused CSR kernels in no-grad mode.
+    #: Whether edge aggregation dispatches to the fused CSR kernels.
     fused_dispatch: bool = True
 
     @property
     def metric_name(self) -> str:
         """The backend name as a metric/span-safe segment (dashes -> underscores)."""
         return self.name.replace("-", "_")
-
-    @classmethod
-    def is_available(cls) -> bool:
-        """Whether this backend can run in the current environment.
-
-        Optional backends (numba, GPU libraries) override this to probe for
-        their dependency; only available backends are registered.
-        """
-        return True
 
     # ------------------------------------------------------------------ #
     # Kernel primitives

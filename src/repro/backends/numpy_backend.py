@@ -16,8 +16,7 @@ through the registry is bit-identical to the pre-registry direct-call code:
 :class:`MaterializedBackend` shares all of the above but turns
 ``fused_dispatch`` off: models take the materialized
 gather → message → MLP → scatter path instead of the fused CSR kernels.
-It replaces the old ``set_fused_kernels(False)`` boolean toggle as a
-first-class policy choice (A/B benchmarks, debugging the fused path).
+It is the reference the fused kernels are tested and benchmarked against.
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ class NumpyBackend(ComputeBackend):
 
 
 class MaterializedBackend(NumpyBackend):
-    """Reference primitives with fused-kernel auto-dispatch disabled."""
+    """Reference primitives with fused-kernel dispatch disabled."""
 
     name = "materialized"
     description = "numpy primitives, fused CSR dispatch off (materialized message passing)"

@@ -14,8 +14,7 @@ Subcommands mirror the pipeline stages::
 
 Pass ``--root DIR`` to any stage command to persist artifacts in a
 content-addressed store, so a repeated ``repro predict``/``repro search``
-with the same flags loads the previous result instead of recomputing.  The
-legacy ``repro-serve`` script forwards to ``repro serve``.
+with the same flags loads the previous result instead of recomputing.
 
 Global flags work before or after the subcommand: ``-v``/``--log-level``
 control logging verbosity, and ``--trace`` records the run's span tree and
@@ -58,7 +57,7 @@ from repro.utils.logging import set_verbosity
 from repro.workspace import Workspace
 from repro.workspace.store import ArtifactStore
 
-__all__ = ["build_parser", "add_serve_arguments", "main"]
+__all__ = ["build_parser", "main"]
 
 _PRESETS = {
     "dgcnn": lambda device: dgcnn_architecture(),
@@ -163,7 +162,6 @@ def _cmd_backends(args: argparse.Namespace) -> int:
     rows = [
         {
             "name": row["name"],
-            "available": "yes" if row["available"] else "no",
             "active": "*" if row["active"] else "",
             "fused": "yes" if row["fused_dispatch"] else "no",
             "description": row["description"],
@@ -266,8 +264,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------- #
 # repro serve
 # ---------------------------------------------------------------------- #
-def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the serve-stream flags (shared with the legacy ``repro-serve``)."""
+def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
+    """Attach the serve-stream flags."""
     _add_common_arguments(parser)
     _add_backend_argument(parser)
     parser.add_argument(
@@ -576,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.set_defaults(func=_cmd_search)
 
     serve = add_command("serve", "serve a synthetic request stream, print telemetry")
-    add_serve_arguments(serve)
+    _add_serve_arguments(serve)
     serve.set_defaults(func=_cmd_serve)
 
     report = add_command("report", "render a persisted observability run from an artifact store")

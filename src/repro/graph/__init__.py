@@ -10,16 +10,7 @@ from repro.graph.batching import (
     pack_clouds,
     unpack_clouds,
 )
-from repro.graph.fused import (
-    FUSED_MESSAGE_TYPES,
-    fused_aggregate,
-    fused_edgeconv,
-    fused_kernels_enabled,
-    linearize_mlp,
-    set_fused_kernels,
-    supports_fused,
-    use_fused_kernels,
-)
+from repro.graph.fused import FUSED_MESSAGE_TYPES, aggregate, fused_edgeconv, linearize_mlp, supports_fused
 from repro.graph.edge_index import (
     add_self_loops,
     coalesce,
@@ -78,11 +69,8 @@ __all__ = [
     "scatter_min",
     "validate_index",
     "FUSED_MESSAGE_TYPES",
-    "fused_aggregate",
+    "aggregate",
     "fused_edgeconv",
-    "fused_kernels_enabled",
     "linearize_mlp",
-    "set_fused_kernels",
     "supports_fused",
-    "use_fused_kernels",
 ]

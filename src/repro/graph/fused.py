@@ -29,39 +29,38 @@ runs in the dtype of the node features, so the float32 default policy
 (:mod:`repro.nn.dtype`) halves its memory traffic relative to the float64
 seed implementation.
 
+:func:`aggregate` is the single entry point the models call:
 :class:`~repro.models.edgeconv.EdgeConv`, :class:`~repro.nas.derived.DerivedModel`
-and the supernet dispatch here automatically in no-grad (inference) mode.
+and the supernet dispatch here in training and inference alike, falling back
+to the materialized path only for unsupported (message type, MLP) pairs.
 
 The low-level primitives (gather, matmul, segment reduction, scatter
 accumulation) are owned by the **active compute backend**
 (:mod:`repro.backends`); this module contributes the CSR layout, the
 segment-aligned chunking and the exact rematerializing backward, and calls
 :func:`repro.backends.active_backend` for the arithmetic.  Dispatch policy
-lives there too: the ``materialized`` backend disables fused auto-dispatch,
-and the :func:`use_fused_kernels`/:func:`set_fused_kernels` toggles of PR 5
-remain as thin shims over ``use_backend``.
+lives there too: the ``materialized`` backend disables fused dispatch and
+serves as the reference path.
 """
 
 from __future__ import annotations
 
-import contextlib
 from typing import Sequence
 
 import numpy as np
 
-from repro.backends import active_backend, active_backend_name, set_active_backend, use_backend
+from repro.backends import active_backend
+from repro.graph.message import build_messages
+from repro.graph.scatter import scatter
 from repro.nn.layers import MLP, Dropout, Identity, LeakyReLU, Linear, ReLU, Sequential
 from repro.nn.tensor import Tensor, apply_op, as_tensor
 from repro.obs.metrics import get_metrics
 
 __all__ = [
     "FUSED_MESSAGE_TYPES",
-    "fused_kernels_enabled",
-    "set_fused_kernels",
-    "use_fused_kernels",
+    "aggregate",
     "linearize_mlp",
     "supports_fused",
-    "fused_aggregate",
     "fused_edgeconv",
 ]
 
@@ -72,49 +71,6 @@ FUSED_MESSAGE_TYPES = ("source_pos", "target_pos", "rel_pos", "target_rel")
 #: ``chunk × max(message_dim, mlp widths)`` floats while staying large
 #: enough that BLAS and reduceat run at full throughput.
 _CHUNK_EDGES = 32768
-
-def fused_kernels_enabled() -> bool:
-    """Whether models auto-dispatch to the fused kernels in no-grad mode.
-
-    The policy now lives on the active compute backend: the ``materialized``
-    backend is the one that answers ``False``.
-    """
-    return active_backend().fused_dispatch
-
-
-def _toggle_target(enabled: bool) -> str:
-    """Backend name that realizes the legacy boolean toggle.
-
-    Disabling means the ``materialized`` backend; re-enabling from the
-    materialized backend returns to the ``numpy`` reference.  Enabling while
-    a fused-capable backend (numpy, numpy-blocked, numba, ...) is already
-    active keeps it — the toggle never downgrades an explicit backend choice.
-    """
-    if not enabled:
-        return "materialized"
-    current = active_backend_name()
-    return "numpy" if not active_backend().fused_dispatch else current
-
-
-def set_fused_kernels(enabled: bool) -> None:
-    """Deprecated: globally enable/disable fused-kernel dispatch.
-
-    Thin shim over :func:`repro.backends.set_active_backend`; prefer
-    ``set_active_backend("materialized")`` / ``set_active_backend("numpy")``.
-    """
-    set_active_backend(_toggle_target(bool(enabled)))
-
-
-@contextlib.contextmanager
-def use_fused_kernels(enabled: bool = True):
-    """Deprecated: context manager that toggles fused-kernel dispatch.
-
-    Thin shim over :func:`repro.backends.use_backend` (kept so the PR-5
-    A/B benchmarks run unchanged); prefer
-    ``use_backend("materialized")`` / ``use_backend("numpy")``.
-    """
-    with use_backend(_toggle_target(bool(enabled))):
-        yield
 
 
 def linearize_mlp(mlp) -> list[tuple] | None:
@@ -408,25 +364,48 @@ def fused_edgeconv(
     return apply_op(out, parents, backward_fn)
 
 
-def fused_aggregate(
+def aggregate(
     x: Tensor,
     edge_index: np.ndarray,
     message_type: str,
     aggregator: str,
+    mlp=None,
     num_nodes: int | None = None,
     validated: bool = False,
 ) -> Tensor:
-    """Fused message construction + aggregation without an MLP.
+    """Message → (MLP) → aggregate over ``edge_index``: the one dispatch point.
 
-    The MLP-free counterpart of :func:`fused_edgeconv`, used by the derived
-    models and the supernet whose aggregate ops reduce raw messages.
+    Runs :func:`fused_edgeconv` when the active backend allows fused dispatch
+    and the (message type, MLP) pair has a fused kernel; otherwise
+    materializes the messages with :func:`~repro.graph.message.build_messages`,
+    applies ``mlp`` and reduces with :func:`~repro.graph.scatter.scatter`.
+    Both paths are differentiable, so the choice is the same with grad on
+    and off; the ``materialized`` backend keeps the second path as the
+    reference the fused kernels are tested against.
+
+    Args:
+        x: Node features ``(N, F)``.
+        edge_index: Edge index ``(2, E)``.
+        message_type: One of :data:`repro.graph.message.MESSAGE_TYPES`.
+        aggregator: ``sum`` / ``mean`` / ``max`` / ``min``.
+        mlp: Optional per-edge module applied to the messages.
+        num_nodes: Output segment count (defaults to ``x.shape[0]``).
+        validated: Skip the edge-index range scans (for indices produced by
+            the repo's own — validating — graph builders).
     """
-    return fused_edgeconv(
-        x,
-        edge_index,
-        mlp=None,
-        message_type=message_type,
-        aggregator=aggregator,
-        num_nodes=num_nodes,
-        validated=validated,
-    )
+    num_nodes = x.shape[0] if num_nodes is None else num_nodes
+    if active_backend().fused_dispatch and supports_fused(message_type, mlp):
+        return fused_edgeconv(
+            x,
+            edge_index,
+            mlp,
+            message_type=message_type,
+            aggregator=aggregator,
+            num_nodes=num_nodes,
+            validated=validated,
+        )
+    get_metrics().count("graph.materialized.dispatch")
+    messages = build_messages(x, edge_index, message_type, validated=validated)
+    if mlp is not None:
+        messages = mlp(messages)
+    return scatter(messages, edge_index[1], num_nodes, aggregator, validated=validated)

@@ -194,8 +194,9 @@ def calibrate_backend_target(
     Unlike :data:`PAPER_TARGETS`, whose numbers come from the paper, this
     runs the actual kernel primitives of the named :mod:`repro.backends`
     backend on this host: KNN graph construction for the *sample* share, a
-    fused message-pass for *aggregate*, a dense matmul through the backend
-    for *combine*, and dispatch of tiny kernels for *others*.  Each phase is
+    message-pass for *aggregate* (on the path the backend dispatches to), a
+    dense matmul through the backend for *combine*, and dispatch of tiny
+    kernels for *others*.  Each phase is
     timed best-of-``repeats``, so the breakdown fractions sum to exactly 1.0
     by construction, and the resulting target records which backend produced
     its timings in :attr:`CalibrationTarget.backend`.
@@ -212,7 +213,7 @@ def calibrate_backend_target(
     # Local imports: hardware/ sits below graph/ and backends/ in the layer
     # order, so the kernel dependencies stay out of module import time.
     from repro.backends import get_backend, use_backend
-    from repro.graph.fused import fused_aggregate
+    from repro.graph.fused import aggregate
     from repro.graph.knn import knn_graph
     from repro.nn.tensor import Tensor, no_grad
 
@@ -236,7 +237,7 @@ def calibrate_backend_target(
         feature_tensor = Tensor(features)
         sample_ms = best_of(lambda: knn_graph(points, k=k))
         aggregate_ms = best_of(
-            lambda: fused_aggregate(feature_tensor, edge_index, "source_pos", "max", num_points)
+            lambda: aggregate(feature_tensor, edge_index, "source_pos", "max", num_nodes=num_points)
         )
         combine_ms = best_of(lambda: backend_obj.matmul(weight_a, weight_b))
         # Dispatch overhead: many tiny kernels, so per-call cost dominates.

@@ -55,6 +55,12 @@ __all__ = ["PredictorBundle", "PoolServeReport", "ServeReport", "Workspace"]
 
 _LOGGER = get_logger("workspace")
 
+#: Revision of the training-time edge aggregation, part of the ``search``
+#: and ``derived`` keys.  Revision 2 trains through the fused kernels, whose
+#: floats match the earlier materialized training path only allclose, so
+#: results, checkpoints and weights keyed before it must not be reused.
+_AGGREGATION_REVISION = 2
+
 
 @dataclass
 class PredictorBundle:
@@ -412,6 +418,7 @@ class Workspace:
                     else None
                 ),
                 "backend": self._backend_name(),
+                "aggregation": _AGGREGATION_REVISION,
             },
         )
         with trace_span(
@@ -514,6 +521,7 @@ class Workspace:
                     "train_epochs": train_epochs,
                     "train_batch_size": train_batch_size,
                     "backend": self._backend_name(),
+                    "aggregation": _AGGREGATION_REVISION,
                 },
             )
             if not fresh:

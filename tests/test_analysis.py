@@ -310,7 +310,7 @@ class TestLintRules:
         violations = _violations_for(
             tmp_path,
             """
-            from repro.graph.scatter import scatter, validate_index
+            from repro.graph import aggregate, scatter, validate_index
 
             def bad(x, edges):
                 return scatter(x, edges, 4, "sum", validated=True)
@@ -325,10 +325,13 @@ class TestLintRules:
 
             def unvalidated_kw_false(x, edges):
                 return scatter(x, edges, 4, "sum", validated=False)
+
+            def bad_aggregate(x, edges):
+                return aggregate(x, edges, "rel_pos", "max", validated=True)
             """,
             "unvalidated-index",
         )
-        assert [v.line for v in violations] == [5]
+        assert [v.line for v in violations] == [5, 19]
 
     def test_waiver_without_reason_is_flagged(self, tmp_path):
         violations = _violations_for(

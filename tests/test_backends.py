@@ -1,17 +1,19 @@
 """Tests for the pluggable compute-backend registry (``repro.backends``).
 
 Covers the registry semantics, per-backend equivalence of every kernel
-primitive call site against the ``numpy`` reference, the deprecated fused
-toggle shims, and the backend plumbing through the serving engine, the
-workspace, the calibration hook and the CLI.
+primitive call site against the ``numpy`` reference, fused-dispatch
+switching through the registry (grad mode included), and the backend
+plumbing through the serving engine, the workspace, the calibration hook and
+the CLI.
 """
+
+import copy
 
 import numpy as np
 import pytest
 
 from repro.backends import (
     ComputeBackend,
-    NumbaBackend,
     NumpyBackend,
     NumpyBlockedBackend,
     active_backend,
@@ -25,25 +27,27 @@ from repro.backends import (
     use_backend,
 )
 from repro.cli.main import main as cli_main
+from repro.data.dataset import collate
+from repro.data.synthetic_modelnet import make_synthetic_modelnet
 from repro.graph import (
     FUSED_MESSAGE_TYPES,
     build_messages,
-    fused_aggregate,
     fused_edgeconv,
     knn_graph,
     scatter,
-    use_fused_kernels,
 )
-from repro.graph.fused import fused_kernels_enabled, set_fused_kernels
 from repro.hardware.calibration import PAPER_TARGETS, calibrate_backend_target, calibrate_coefficients
 from repro.models.edgeconv import EdgeConv
+from repro.nas import Architecture, DerivedModel, FunctionSet, OperationType, Supernet, SupernetConfig
+from repro.nas.presets import device_fast_architecture
 from repro.nn import MLP, Tensor, default_dtype, no_grad
 from repro.nn.functional import embedding_lookup, matmul
+from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.serving.engine import EngineConfig, InferenceEngine
 from repro.workspace import Workspace
 
-#: Every backend that ships with the repo and is importable here.
-EQUIVALENCE_BACKENDS = [name for name in ("numpy-blocked", "materialized", "numba") if name in list_backends()]
+#: Every shipped backend other than the ``numpy`` reference.
+EQUIVALENCE_BACKENDS = ["numpy-blocked", "materialized"]
 
 
 @pytest.fixture(autouse=True)
@@ -113,13 +117,9 @@ class TestRegistry:
 
     def test_backend_status_lists_optional_backends(self):
         rows = {row["name"]: row for row in backend_status()}
-        assert rows["numpy"]["available"]
+        assert list(rows) == list_backends()
         assert rows[active_backend_name()]["active"]
         assert rows["materialized"]["fused_dispatch"] is False
-        # numba is optional: present either as registered or as unavailable.
-        assert "numba" in rows
-        if not NumbaBackend.is_available():
-            assert rows["numba"]["available"] is False
 
     def test_abstract_backend_has_no_kernels(self):
         base = ComputeBackend()
@@ -250,16 +250,16 @@ class TestKernelEquivalence:
         for edge_index in (ragged, shuffled):
             for aggregator in ("sum", "mean", "max", "min"):
                 with use_backend("numpy"):
-                    want = fused_aggregate(Tensor(points), edge_index, "rel_pos", aggregator)
+                    want = fused_edgeconv(Tensor(points), edge_index, message_type="rel_pos", aggregator=aggregator)
                 with use_backend(backend_name):
-                    got = fused_aggregate(Tensor(points), edge_index, "rel_pos", aggregator)
+                    got = fused_edgeconv(Tensor(points), edge_index, message_type="rel_pos", aggregator=aggregator)
                 np.testing.assert_allclose(got.data, want.data, rtol=1e-5, atol=1e-6)
 
     @pytest.mark.parametrize("backend_name", EQUIVALENCE_BACKENDS)
     def test_empty_graph(self, backend_name):
         with use_backend(backend_name):
             x = Tensor(np.ones((4, 3), dtype=np.float32), requires_grad=True)
-            out = fused_aggregate(x, np.zeros((2, 0), dtype=np.int64), "rel_pos", "sum")
+            out = fused_edgeconv(x, np.zeros((2, 0), dtype=np.int64), message_type="rel_pos", aggregator="sum")
             out.sum().backward()
         assert out.shape == (4, 3)
         np.testing.assert_array_equal(out.data, 0.0)
@@ -313,37 +313,37 @@ class TestKernelEquivalence:
             pytest.skip("suite is pinned to a non-reference backend")
         points = rng.normal(size=(30, 3)).astype(np.float32)
         edge_index = knn_graph(points, 5)
-        baseline = fused_aggregate(Tensor(points), edge_index, "target_rel", "mean")
+        baseline = fused_edgeconv(Tensor(points), edge_index, message_type="target_rel", aggregator="mean")
         with use_backend("numpy"):
-            pinned = fused_aggregate(Tensor(points), edge_index, "target_rel", "mean")
+            pinned = fused_edgeconv(Tensor(points), edge_index, message_type="target_rel", aggregator="mean")
         np.testing.assert_array_equal(baseline.data, pinned.data)
 
 
 class TestFusedToggleShims:
-    """The deprecated boolean toggle now drives the backend registry."""
+    """Fused dispatch is switched by selecting a backend in the registry."""
 
-    def test_set_fused_kernels_switches_backends(self):
-        assert fused_kernels_enabled()
-        set_fused_kernels(False)
+    def test_set_active_backend_switches_fused_dispatch(self):
+        assert active_backend().fused_dispatch
+        set_active_backend("materialized")
         try:
             assert active_backend_name() == "materialized"
-            assert not fused_kernels_enabled()
+            assert not active_backend().fused_dispatch
         finally:
-            set_fused_kernels(True)
+            set_active_backend("numpy")
         assert active_backend_name() == "numpy"
-        assert fused_kernels_enabled()
+        assert active_backend().fused_dispatch
 
-    def test_use_fused_kernels_nested_toggle(self):
-        """The PR-5 benchmark pattern: off, on inside, off inside that."""
-        with use_fused_kernels(False):
-            assert not fused_kernels_enabled()
-            with use_fused_kernels(True):
-                assert fused_kernels_enabled()
-                with use_fused_kernels(False):
-                    assert not fused_kernels_enabled()
-                assert fused_kernels_enabled()
-            assert not fused_kernels_enabled()
-        assert fused_kernels_enabled()
+    def test_use_backend_nested_toggle(self):
+        """The A/B benchmark pattern: off, on inside, off inside that."""
+        with use_backend("materialized"):
+            assert not active_backend().fused_dispatch
+            with use_backend("numpy"):
+                assert active_backend().fused_dispatch
+                with use_backend("materialized"):
+                    assert not active_backend().fused_dispatch
+                assert active_backend().fused_dispatch
+            assert not active_backend().fused_dispatch
+        assert active_backend().fused_dispatch
 
     def test_materialized_backend_disables_model_dispatch(self, rng):
         conv = EdgeConv(3, 8, aggregator="max", message_type="target_rel",
@@ -358,9 +358,64 @@ class TestFusedToggleShims:
 
     def test_enable_inside_non_fused_backend_falls_back_to_reference(self):
         with use_backend("materialized"):
-            with use_fused_kernels(True):
+            with use_backend("numpy"):
                 assert active_backend_name() == "numpy"
             assert active_backend_name() == "materialized"
+
+
+class TestGradModeDispatch:
+    """Grad-mode forwards take the fused kernels and match the materialized reference."""
+
+    @staticmethod
+    def _forward_backward(model, run, backend_name):
+        with use_metrics(MetricsRegistry()) as metrics, use_backend(backend_name):
+            out = run(model)
+            out.sum().backward()
+        grads = {name: param.grad for name, param in model.named_parameters()}
+        return out.data, grads, metrics
+
+    def _assert_fused_matches_materialized(self, model, run):
+        # Same weights and generator states for the reference run.
+        reference = copy.deepcopy(model)
+        out, grads, metrics = self._forward_backward(model, run, "numpy")
+        assert metrics.counter("graph.fused.dispatch").value > 0
+        assert "graph.materialized.dispatch" not in metrics
+        want, want_grads, ref_metrics = self._forward_backward(reference, run, "materialized")
+        assert ref_metrics.counter("graph.materialized.dispatch").value > 0
+        assert "graph.fused.dispatch" not in ref_metrics
+        np.testing.assert_allclose(out, want, rtol=1e-4, atol=1e-5)
+        assert grads.keys() == want_grads.keys()
+        for name, grad in grads.items():
+            if want_grads[name] is None:
+                assert grad is None, name
+            else:
+                np.testing.assert_allclose(grad, want_grads[name], rtol=1e-4, atol=1e-5, err_msg=name)
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        train, _ = make_synthetic_modelnet(num_classes=4, samples_per_class=2, num_points=32, seed=0)
+        return collate([train[i] for i in range(4)])
+
+    def test_edgeconv(self, rng):
+        conv = EdgeConv(3, 8, hidden_dims=(16,), aggregator="max", message_type="target_rel",
+                        rng=np.random.default_rng(2))
+        points = rng.normal(size=(40, 3)).astype(np.float32)
+        edge_index = knn_graph(points, 6)
+        self._assert_fused_matches_materialized(conv, lambda model: model(Tensor(points), edge_index))
+
+    def test_derived_model(self, batch):
+        model = DerivedModel(device_fast_architecture("jetson-tx2"), num_classes=4, k=6, embed_dim=16, seed=0)
+        self._assert_fused_matches_materialized(model, lambda m: m(batch))
+
+    def test_supernet(self, batch):
+        ops = OperationType
+        path = Architecture(
+            operations=(ops.SAMPLE, ops.AGGREGATE, ops.COMBINE, ops.AGGREGATE, ops.CONNECT, ops.AGGREGATE),
+            upper_functions=FunctionSet(aggregator="max", message_type="target_rel", combine_dim=16),
+            lower_functions=FunctionSet(aggregator="mean", message_type="rel_pos", combine_dim=16),
+        )
+        supernet = Supernet(SupernetConfig(num_positions=6, hidden_dim=12, k=4, num_classes=4))
+        self._assert_fused_matches_materialized(supernet, lambda model: model(batch, path))
 
 
 class TestBackendPlumbing:
@@ -423,6 +478,12 @@ class TestBackendPlumbing:
         assert target.dgcnn_peak_memory_mb > target.base_memory_mb
         coefficients = calibrate_coefficients(target)
         assert all(value > 0 for value in coefficients.values())
+
+    def test_calibrating_materialized_times_the_materialized_path(self):
+        with use_metrics(MetricsRegistry()) as metrics:
+            calibrate_backend_target("materialized", repeats=1, num_points=64, k=4)
+        assert metrics.counter("graph.materialized.dispatch").value > 0
+        assert "graph.fused.dispatch" not in metrics
 
     def test_paper_targets_are_analytic(self):
         assert all(target.backend == "analytic" for target in PAPER_TARGETS.values())

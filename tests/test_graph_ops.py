@@ -36,13 +36,13 @@ from repro.graph import (
     unpack_clouds,
     validate_edge_index,
 )
+from repro.backends import use_backend
 from repro.graph import (
     FUSED_MESSAGE_TYPES,
-    fused_aggregate,
+    aggregate,
     fused_edgeconv,
     linearize_mlp,
     supports_fused,
-    use_fused_kernels,
     validate_index,
 )
 from repro.models.edgeconv import EdgeConv
@@ -441,11 +441,11 @@ class TestFusedKernels:
             np.testing.assert_allclose(param.grad, ref_grads[name], rtol=1e-9, atol=1e-11)
         mlp.zero_grad()
 
-    def test_fused_aggregate_no_mlp(self, rng):
+    def test_fused_edgeconv_no_mlp(self, rng):
         points = rng.normal(size=(25, 3)).astype(np.float32)
         edge_index = knn_graph(points, 3)
         x = Tensor(points, requires_grad=True)
-        out = fused_aggregate(x, edge_index, "rel_pos", "mean")
+        out = fused_edgeconv(x, edge_index, message_type="rel_pos", aggregator="mean")
         expected = self._materialized(Tensor(points), edge_index, None, "rel_pos", "mean")
         assert out.dtype == np.float32
         np.testing.assert_allclose(out.data, expected.data, rtol=1e-5, atol=1e-6)
@@ -456,7 +456,7 @@ class TestFusedKernels:
         points = rng.normal(size=(20, 3)).astype(np.float32)
         edge_index = knn_graph(points, 4)
         shuffled = edge_index[:, rng.permutation(edge_index.shape[1])]
-        a = fused_aggregate(Tensor(points), shuffled, "target_rel", "max")
+        a = fused_edgeconv(Tensor(points), shuffled, message_type="target_rel", aggregator="max")
         b = self._materialized(Tensor(points), shuffled, None, "target_rel", "max")
         np.testing.assert_allclose(a.data, b.data, rtol=1e-5, atol=1e-6)
 
@@ -468,13 +468,13 @@ class TestFusedKernels:
         edge_index = np.stack([sources, targets])
         points = rng.normal(size=(6, 3)).astype(np.float32)
         for aggregator in ("sum", "mean", "max", "min"):
-            fused = fused_aggregate(Tensor(points), edge_index, "rel_pos", aggregator)
+            fused = fused_edgeconv(Tensor(points), edge_index, message_type="rel_pos", aggregator=aggregator)
             expected = self._materialized(Tensor(points), edge_index, None, "rel_pos", aggregator)
             np.testing.assert_allclose(fused.data, expected.data, rtol=1e-5, atol=1e-6)
 
     def test_empty_edge_index(self):
         x = Tensor(np.ones((4, 3), dtype=np.float32), requires_grad=True)
-        out = fused_aggregate(x, np.zeros((2, 0), dtype=np.int64), "rel_pos", "sum")
+        out = fused_edgeconv(x, np.zeros((2, 0), dtype=np.int64), message_type="rel_pos", aggregator="sum")
         assert out.shape == (4, 3)
         np.testing.assert_array_equal(out.data, 0.0)
 
@@ -506,17 +506,55 @@ class TestFusedKernels:
         edge_index = knn_graph(points, 5)
         with no_grad():
             fused = conv(Tensor(points), edge_index)
-            with use_fused_kernels(False):
+            with use_backend("materialized"):
                 materialized = conv(Tensor(points), edge_index)
         assert fused.dtype == np.float32
         np.testing.assert_allclose(fused.data, materialized.data, rtol=1e-5, atol=1e-6)
-        # Grad-enabled forwards keep the materialized path's exact floats.
+        # Grad-enabled forwards dispatch to the same fused kernel, so they
+        # reproduce the no-grad floats exactly.
         trained = conv(Tensor(points), edge_index)
-        np.testing.assert_array_equal(trained.data, materialized.data)
+        np.testing.assert_array_equal(trained.data, fused.data)
+
+    @pytest.mark.parametrize("with_mlp", [False, True], ids=["no_mlp", "mlp"])
+    @pytest.mark.parametrize("aggregator", ["sum", "mean", "max", "min"])
+    @pytest.mark.parametrize("message_type", FUSED_MESSAGE_TYPES)
+    def test_aggregate_grad_check(self, message_type, aggregator, with_mlp):
+        """Finite-difference check of aggregate's gradients, max/min ties included."""
+        rng = np.random.default_rng(7)
+        with default_dtype("float64"):
+            distinct = rng.normal(size=(7, 3))
+            # Two duplicated pairs: identical messages tie under max/min.
+            points = np.concatenate([distinct, distinct[:2]])
+            edge_index = knn_graph(points, 3)
+            pairs = set(zip(edge_index[0].tolist(), edge_index[1].tolist()))
+            assert any((0, t) in pairs and (7, t) in pairs for t in range(1, 7))
+            mlp = None
+            if with_mlp:
+                width = message_dim(message_type, 3)
+                mlp = MLP([width, 5, 4], activation="leaky_relu", final_activation=True,
+                          rng=np.random.default_rng(3))
+                # Non-zero biases keep zero messages (duplicate rel_pos
+                # pairs) off the activation kink.
+                for param in mlp.parameters():
+                    param.data[...] = rng.normal(size=param.shape)
+            out_dim = 4 if with_mlp else message_dim(message_type, 3)
+            weights = rng.normal(size=(points.shape[0], out_dim))
+
+            def loss(_=None) -> float:
+                out = aggregate(Tensor(points), edge_index, message_type, aggregator, mlp=mlp)
+                return float((out.data * weights).sum())
+
+            x = Tensor(points.copy(), requires_grad=True)
+            (aggregate(x, edge_index, message_type, aggregator, mlp=mlp) * Tensor(weights)).sum().backward()
+            np.testing.assert_allclose(x.grad, finite_difference_grad(loss, points), rtol=1e-6, atol=1e-7)
+            for name, param in (mlp.named_parameters() if mlp is not None else []):
+                np.testing.assert_allclose(
+                    param.grad, finite_difference_grad(loss, param.data), rtol=1e-6, atol=1e-7, err_msg=name
+                )
 
     def test_fused_validates_edge_index(self):
         x = Tensor(np.ones((4, 3), dtype=np.float32))
         with pytest.raises(ValueError):
-            fused_aggregate(x, np.array([[0, 9], [1, 0]]), "rel_pos", "sum")
+            fused_edgeconv(x, np.array([[0, 9], [1, 0]]), message_type="rel_pos", aggregator="sum")
         with pytest.raises(ValueError):
-            fused_aggregate(x, np.array([[0, -1], [1, 0]]), "rel_pos", "sum")
+            fused_edgeconv(x, np.array([[0, -1], [1, 0]]), message_type="rel_pos", aggregator="sum")

@@ -319,6 +319,37 @@ class TestSearchCaching:
             ws.search(tiny_train, tiny_test, strategy="three-stage")
 
 
+class TestAggregationRevisionKeys:
+    def test_store_populated_under_the_old_key_payload_misses(self, tmp_path, tiny_train, tiny_test, monkeypatch):
+        """Search results, checkpoints and derived weights trained before
+        grad-mode fused aggregation are only allclose to today's: never reused."""
+        config = tiny_search_config(tiny_train.num_classes)
+        arch = tx2_fast_architecture()
+        real_key_for = ArtifactStore.key_for
+        revised = []
+
+        def old_key_for(store, stage, inputs):
+            if "aggregation" in inputs:
+                revised.append(stage)
+            return real_key_for(store, stage, {f: v for f, v in inputs.items() if f != "aggregation"})
+
+        def run(ws):
+            ws.search(tiny_train, tiny_test, config=config)
+            ws.derive(arch, tiny_train.num_classes, k=4, embed_dim=16, train_dataset=tiny_train, train_epochs=1)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ArtifactStore, "key_for", old_key_for)
+            old = Workspace(device="tx2", root=tmp_path)
+            run(old)
+        assert revised == ["search", "derived"]
+        assert old.store.misses == 2
+
+        ws = Workspace(device="tx2", root=tmp_path)
+        run(ws)
+        assert ws.store.hits == 0
+        assert ws.store.misses == 2
+
+
 class TestDeriveDeployServe:
     def test_trained_derive_is_cached(self, tmp_path, tiny_train, monkeypatch):
         calls = {"fit": 0}

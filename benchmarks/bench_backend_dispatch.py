@@ -1,4 +1,4 @@
-"""Compute-backend registry: dispatch overhead and blocked-backend sanity.
+"""Compute-backend registry: dispatch overhead and cross-backend sanity.
 
 The backend refactor routed every kernel primitive (segment reduction,
 unbuffered scatter, gather, dense matmul) through
@@ -8,8 +8,8 @@ indirection costs **less than 2%** against hand-written direct numpy calls
 — the pre-refactor code shape, inlined here as the baseline.
 
 Also records (informationally, no gate) the end-to-end derived-model
-forward under the ``numpy`` and ``numpy-blocked`` backends, so regressions
-in the blocked variants show up in the benchmark history.
+forward under the ``numpy`` and ``materialized`` backends, so regressions
+in either path show up in the benchmark history.
 
 Timings are best-of-N to suppress scheduler noise, mirroring
 ``bench_dtype_fused.py``.
@@ -105,7 +105,7 @@ def test_backend_dispatch_overhead(benchmark):
 
 
 def test_backend_forward_equivalence_timings(benchmark):
-    """Derived-model forward: numpy vs numpy-blocked timings + allclose logits."""
+    """Derived-model forward: numpy vs materialized timings + allclose logits."""
     _, val_set = make_synthetic_modelnet(num_classes=4, samples_per_class=4, num_points=128, seed=0)
     model = DerivedModel(device_fast_architecture("jetson-tx2"), num_classes=4, k=8).eval()
     batch = collate([val_set[i] for i in range(6)])
@@ -114,11 +114,11 @@ def test_backend_forward_equivalence_timings(benchmark):
         with use_backend("numpy"):
             logits_reference = model(batch).numpy()
             reference_s = _best_of(lambda: model(batch))
-        with use_backend("numpy-blocked"):
-            logits_blocked = model(batch).numpy()
-            blocked_s = _best_of(lambda: model(batch))
+        with use_backend("materialized"):
+            logits_materialized = model(batch).numpy()
+            materialized_s = _best_of(lambda: model(batch))
             benchmark.pedantic(lambda: model(batch), rounds=3, iterations=1)
 
-    np.testing.assert_allclose(logits_blocked, logits_reference, rtol=1e-4, atol=1e-4)
+    np.testing.assert_allclose(logits_materialized, logits_reference, rtol=1e-4, atol=1e-4)
     benchmark.extra_info["numpy_forward_ms"] = round(reference_s * 1e3, 2)
-    benchmark.extra_info["numpy_blocked_forward_ms"] = round(blocked_s * 1e3, 2)
+    benchmark.extra_info["materialized_forward_ms"] = round(materialized_s * 1e3, 2)

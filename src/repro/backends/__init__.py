@@ -9,8 +9,8 @@ look up by name, scope the *active* backend with a context manager::
 
     from repro.backends import use_backend
 
-    with use_backend("numpy-blocked"):
-        logits = model(batch)          # kernels run cache-blocked
+    with use_backend("materialized"):
+        logits = model(batch)          # the materialized message-passing path
 
     with default_dtype("float64"), use_backend("numpy"):
         ...                            # dtype x backend compose orthogonally
@@ -20,8 +20,6 @@ Shipped backends:
 * ``numpy`` — the always-available reference (the PR-5 kernels verbatim;
   bit-identical to the pre-registry code and the target every equivalence
   test pins other backends to).
-* ``numpy-blocked`` — cache-blocked matmul and column-blocked segment
-  reduction (allclose to the reference).
 * ``materialized`` — reference primitives with fused-kernel dispatch
   disabled: the materialized message-passing path the fused kernels are
   tested against.
@@ -33,7 +31,6 @@ This package imports nothing from ``repro.nn``/``repro.graph`` (they import
 from __future__ import annotations
 
 from repro.backends.base import ComputeBackend
-from repro.backends.blocked import NumpyBlockedBackend
 from repro.backends.numpy_backend import MaterializedBackend, NumpyBackend
 from repro.backends.registry import (
     active_backend,
@@ -49,7 +46,6 @@ from repro.backends.registry import (
 __all__ = [
     "ComputeBackend",
     "NumpyBackend",
-    "NumpyBlockedBackend",
     "MaterializedBackend",
     "register_backend",
     "unregister_backend",
@@ -63,7 +59,6 @@ __all__ = [
 ]
 
 register_backend(NumpyBackend())
-register_backend(NumpyBlockedBackend())
 register_backend(MaterializedBackend())
 
 

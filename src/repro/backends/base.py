@@ -8,8 +8,8 @@ fused CSR kernels (:mod:`repro.graph.fused`), the scatter aggregations
 (:mod:`repro.graph.message`) and the ``Linear`` matmul entry point
 (:mod:`repro.nn.functional`) all dispatch through the *active* backend
 (:func:`repro.backends.active_backend`) instead of calling numpy directly,
-so swapping the execution substrate (blocked numpy, a JIT or GPU array
-library) never touches a call site again.
+so swapping the execution substrate (a JIT or GPU array library) never
+touches a call site again.
 
 This module must stay import-light: backends are imported by the autograd
 engine and the graph kernels, so nothing here may import from
@@ -41,7 +41,7 @@ __all__ = ["ComputeBackend"]
 class ComputeBackend:
     """Abstract kernel-primitive provider; concrete backends subclass this."""
 
-    #: Registry key (lower-case; may contain dashes, e.g. ``numpy-blocked``).
+    #: Registry key (lower-case; may contain dashes).
     name: str = "abstract"
     #: One-line human description shown by ``repro backends``.
     description: str = ""

@@ -102,8 +102,8 @@ def set_active_backend(name: str) -> str:
 def use_backend(name: str) -> Iterator[ComputeBackend]:
     """Scope the active compute backend (nestable, exception-safe)::
 
-        with use_backend("numpy-blocked"):
-            ...  # fused kernels / scatter / Linear dispatch to the blocked variant
+        with use_backend("materialized"):
+            ...  # scatter / Linear dispatch to it; edge aggregation runs materialized
     """
     global _ACTIVE_BACKEND
     backend = get_backend(name)

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.experiments.common import resolve_devices
 from repro.nas.design_space import DesignSpace, DesignSpaceConfig
+from repro.predictor.batch import predict_latencies
 from repro.predictor.dataset import generate_predictor_dataset
 from repro.predictor.model import LatencyPredictor, PredictorConfig
 from repro.predictor.train import PredictorTrainingConfig, evaluate_predictor, train_predictor
@@ -67,7 +68,7 @@ def run_fig8(
         )
         train_predictor(predictor, train_split, val_split, training)
         metrics = evaluate_predictor(predictor, val_split)
-        predicted = np.array([predictor.predict_from_graph(s.graph) for s in val_split.samples])
+        predicted = predict_latencies(predictor, [sample.graph for sample in val_split.samples])
         measured = val_split.latencies()
         results.append(
             PredictorExperimentResult(

@@ -116,10 +116,6 @@ class HGNASConfig:
     epoch_cost_s: float = 30.0
     accuracy_eval_cost_s: float = 1.0
     seed: int = 0
-    # Score each generation's cohort through the latency evaluator's batched
-    # fast path (one fused forward for predictor-style oracles).  Results are
-    # identical to the sequential path; disable only to compare the two.
-    batched_evaluation: bool = True
     # Statically validate candidates (repro.analysis) before fitness scoring;
     # rejected mutants never reach the supernet/predictor and show up in the
     # nas.analysis.rejected counter.
@@ -597,7 +593,7 @@ class HGNAS:
             key=lambda arch: arch.key(),
             rng=self.rng,
             clock=self.clock,
-            evaluate_many=evaluate_many if self.config.batched_evaluation else None,
+            evaluate_many=evaluate_many,
             validate=self._architecture_validator(),
         )
 
@@ -793,7 +789,7 @@ class HGNAS:
             key=lambda arch: arch.key(),
             rng=self.rng,
             clock=self.clock,
-            evaluate_many=evaluate_many if self.config.batched_evaluation else None,
+            evaluate_many=evaluate_many,
             validate=self._architecture_validator(),
         )
         if phase_index == 1:

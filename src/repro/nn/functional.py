@@ -81,8 +81,8 @@ def matmul(x: Tensor, weight: Tensor) -> Tensor:
 
     The ``Linear`` hot path: the 2-D x 2-D case (and the batched 3-D x 2-D
     case) dispatches forward and backward products to
-    :func:`repro.backends.active_backend`, so e.g. the ``numpy-blocked``
-    backend runs every dense layer cache-blocked.  Other shapes fall back to
+    :func:`repro.backends.active_backend`, so a backend's ``matmul`` runs
+    every dense layer.  Other shapes fall back to
     :meth:`Tensor.__matmul__`, whose semantics this op mirrors exactly.
     """
     x = as_tensor(x)

@@ -3,8 +3,9 @@
 The engine follows the familiar define-by-run pattern: every operation on
 :class:`Tensor` objects records its inputs and a closure that propagates the
 output gradient back to them.  Calling :meth:`Tensor.backward` on a scalar
-(or with an explicit output gradient) topologically sorts the recorded graph
-and runs the closures in reverse order.
+(or with an explicit output gradient) topologically sorts the recorded graph,
+runs the closures in reverse order and then releases the graph, so a second
+``backward()`` through it raises.
 
 Design notes
 ------------
@@ -156,7 +157,7 @@ class Tensor:
         self.grad += grad
 
     def backward(self, grad: np.ndarray | float | None = None) -> None:
-        """Backpropagate from this tensor through the recorded graph.
+        """Backpropagate from this tensor through the recorded graph, then release it.
 
         Args:
             grad: Gradient of the final objective w.r.t. this tensor.  May be
@@ -189,8 +190,15 @@ class Tensor:
 
         self._accumulate(grad)
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward()
+            # Release the node: every op's closure captures its own output, so
+            # an unreleased graph is a reference cycle that only the cyclic GC
+            # frees, and the activations it holds outlive the step.
+            node._backward = _released_graph
+            node._parents = ()
 
     # ------------------------------------------------------------------ #
     # Arithmetic
@@ -482,6 +490,13 @@ class Tensor:
 
             out._backward = _backward
         return out
+
+
+def _released_graph() -> None:
+    raise RuntimeError(
+        "backward() through a graph that was already released by an earlier backward(); "
+        "rerun the forward pass"
+    )
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...]) -> Tensor:

@@ -1,35 +1,36 @@
-"""Batched (vectorized) evaluation of architecture graphs.
+"""Batched (vectorized) forward of the latency predictor over many graphs.
 
 The search evaluates whole populations of candidate architectures per
-generation (paper Alg. 1: population 20 x 1000 iterations), so scoring them
-one graph at a time wastes most of the wall clock on per-call Python and
-autograd overhead.  This module pads a list of
-:class:`~repro.predictor.arch_graph.ArchitectureGraph` objects into one
-stacked batch and runs a *single* GCN + MLP forward for all of them.
+generation (paper Alg. 1: population 20 x 1000 iterations) and training
+fits the predictor on minibatches, so running the GCN one graph at a time
+wastes most of the wall clock on per-call Python and autograd overhead.
+:func:`forward_graphs` is the one forward every multi-graph caller uses —
+training minibatches, validation and population scoring: it groups
+:class:`~repro.predictor.arch_graph.ArchitectureGraph` objects by node
+count and runs a *single* GCN + MLP forward per group, with grad on or off.
 
 Bit-exactness contract
 ----------------------
-:func:`predict_latencies` produces the **same floats** as running the
-predictor graph-by-graph, which keeps search results independent of the
-evaluation path.  Three properties make this hold:
+:func:`forward_graphs` produces the **same floats** as running
+:meth:`~repro.predictor.model.LatencyPredictor.forward_graph` graph by
+graph, which keeps search results independent of how a cohort is scored.
+Three properties make this hold:
 
-* Graphs are grouped by node count and each group is stacked *without
-  padding*, so every batched matmul slice has exactly the shapes of the
-  sequential per-graph call and BLAS picks the same kernel.  (Zero padding
-  is mathematically exact, but changing the contraction length can switch
-  BLAS kernels whose different sum associations drift in the last ulp —
-  observed in practice when padding 9-node graphs to 16.)
-* Pooling uses the scatter kernels (``np.add.at`` / ``np.maximum.at``) over
-  the valid rows in graph order, accumulating in the same order as the
-  sequential ``sum(axis=0)`` / ``max(axis=0)`` reductions.
+* Each group is stacked *without padding*, so every batched matmul slice
+  has exactly the shapes of the per-graph call and BLAS picks the same
+  kernel.  (Zero padding is mathematically exact, but changing the
+  contraction length can switch BLAS kernels whose different sum
+  associations drift in the last ulp — observed in practice when padding
+  9-node graphs to 16.)
+* Pooling is a per-slice ``sum``/``max`` over the node axis, the same
+  accumulation order as the per-graph ``sum(axis=0)`` / ``max(axis=0)``.
 * The MLP runs on a ``(B, 1, F)`` stack of row vectors rather than a
   ``(B, F)`` matrix, so BLAS applies the same single-row kernel as the
-  sequential path (a ``(B, F) @ (F, out)`` GEMM may reassociate sums
+  per-graph path (a ``(B, F) @ (F, out)`` GEMM may reassociate sums
   differently from the per-row GEMV and drift in the last ulp).
 
-:func:`collate_graphs` / :func:`forward_graph_batch` still accept
-mixed-size batches (padded, mask-pooled) for callers that prefer one fused
-forward over exactness — e.g. batched training.
+Gradients through a grouped forward sum the per-graph contributions in a
+different order, so they match the per-graph path only allclose.
 """
 
 from __future__ import annotations
@@ -39,84 +40,53 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.graph.scatter import scatter_max, scatter_sum
 from repro.nn.dtype import WIDE_DTYPE
 from repro.nn.tensor import Tensor, concatenate, no_grad
 from repro.obs.metrics import get_metrics
 from repro.predictor.arch_graph import ArchitectureGraph
 
-__all__ = ["GraphBatch", "collate_graphs", "forward_graph_batch", "predict_latencies"]
+__all__ = ["GraphBatch", "collate_graphs", "forward_graph_batch", "forward_graphs", "predict_latencies"]
 
 
 @dataclass(frozen=True)
 class GraphBatch:
-    """A population of architecture graphs padded into one dense batch."""
+    """Architecture graphs of one node count stacked into a dense batch."""
 
-    features: np.ndarray  #: ``(B, M, FEATURE_DIM)`` zero-padded node features.
-    aggregation: np.ndarray  #: ``(B, M, M)`` zero-padded ``A + I`` operators.
-    node_counts: np.ndarray  #: ``(B,)`` true node count of every graph.
-    flat_rows: np.ndarray  #: Indices of valid rows in the flattened ``(B * M)`` node set.
-    segment_ids: np.ndarray  #: Graph id of every valid row (sorted ascending).
+    features: np.ndarray  #: ``(B, N, FEATURE_DIM)`` node features.
+    aggregation: np.ndarray  #: ``(B, N, N)`` ``A + I`` operators.
 
     @property
     def num_graphs(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def max_nodes(self) -> int:
-        return self.features.shape[1]
-
 
 def collate_graphs(graphs: Sequence[ArchitectureGraph]) -> GraphBatch:
-    """Pad-and-stack architecture graphs into one :class:`GraphBatch`.
+    """Stack architecture graphs of one node count into a :class:`GraphBatch`.
 
-    Args:
-        graphs: Non-empty sequence of graphs (node counts may differ).
-
-    Returns:
-        The stacked batch; padded rows/columns are zero, so they are inert
-        under the GCN's masked aggregation and excluded from pooling.
+    Raises:
+        ValueError: If ``graphs`` is empty or mixes node counts
+            (:func:`forward_graphs` groups mixed populations).
     """
     if not graphs:
         raise ValueError("cannot collate an empty list of graphs")
-    counts = np.array([graph.num_nodes for graph in graphs], dtype=np.int64)
-    num_graphs = len(graphs)
-    max_nodes = int(counts.max())
-    feature_dim = graphs[0].features.shape[1]
-    dtype = graphs[0].features.dtype
-    features = np.zeros((num_graphs, max_nodes, feature_dim), dtype=dtype)
-    aggregation = np.zeros((num_graphs, max_nodes, max_nodes), dtype=dtype)
-    for index, graph in enumerate(graphs):
-        if graph.features.shape[1] != feature_dim:
-            raise ValueError(
-                f"graph {index} has feature dim {graph.features.shape[1]}, expected {feature_dim}"
-            )
-        n = graph.num_nodes
-        features[index, :n] = graph.features
-        aggregation[index, :n, :n] = graph.adjacency
-    # Self-loops (the predictor's A + I sum aggregation) added in one bulk
-    # write; the extra 1 on padded diagonals multiplies zero feature rows.
-    diagonal = np.arange(max_nodes)
+    counts = sorted({graph.num_nodes for graph in graphs})
+    if len(counts) > 1:
+        raise ValueError(f"cannot collate graphs with mixed node counts {counts}; use forward_graphs")
+    features = np.stack([graph.features for graph in graphs])
+    aggregation = np.stack([graph.adjacency for graph in graphs]).astype(features.dtype, copy=False)
+    # Self-loops (the predictor's A + I sum aggregation) added in one bulk write.
+    diagonal = np.arange(counts[0])
     aggregation[:, diagonal, diagonal] += 1.0
-    segment_ids = np.repeat(np.arange(num_graphs, dtype=np.int64), counts)
-    offsets = np.repeat(np.arange(num_graphs, dtype=np.int64) * max_nodes, counts)
-    local = np.concatenate([np.arange(n, dtype=np.int64) for n in counts])
-    return GraphBatch(
-        features=features,
-        aggregation=aggregation,
-        node_counts=counts,
-        flat_rows=offsets + local,
-        segment_ids=segment_ids,
-    )
+    return GraphBatch(features=features, aggregation=aggregation)
 
 
 def forward_graph_batch(predictor, batch: GraphBatch) -> Tensor:
-    """Standardised log1p-latency predictions for a whole batch.
+    """Standardised log1p-latency predictions for one uniform-size batch.
 
     Args:
         predictor: A :class:`~repro.predictor.model.LatencyPredictor` (typed
             loosely to avoid a circular import); its GCN must accept batched
-            ``(B, M, M)`` aggregation operators.
+            ``(B, N, N)`` aggregation operators.
         batch: Output of :func:`collate_graphs`.
 
     Returns:
@@ -124,28 +94,35 @@ def forward_graph_batch(predictor, batch: GraphBatch) -> Tensor:
         :meth:`~repro.predictor.model.LatencyPredictor.forward_graph` calls.
     """
     node_embeddings = predictor.gcn(Tensor(batch.features), batch.aggregation)
-    hidden = node_embeddings.shape[-1]
-    if batch.flat_rows.size == batch.num_graphs * batch.max_nodes:
-        # Uniform-size batch (the bit-exact fast path): no padding rows, so
-        # pooling is a plain per-slice reduction — same accumulation order
-        # as the sequential ``sum(axis=0)`` / ``max(axis=0)``.
-        pooled = concatenate(
-            [node_embeddings.sum(axis=1), node_embeddings.max(axis=1)],
-            axis=1,
-        )
-    else:
-        valid = node_embeddings.reshape(batch.num_graphs * batch.max_nodes, hidden)[batch.flat_rows]
-        pooled = concatenate(
-            [
-                scatter_sum(valid, batch.segment_ids, batch.num_graphs),
-                scatter_max(valid, batch.segment_ids, batch.num_graphs),
-            ],
-            axis=1,
-        )
+    pooled = concatenate([node_embeddings.sum(axis=1), node_embeddings.max(axis=1)], axis=1)
     # One row vector per graph: BLAS then uses the same single-row kernel as
-    # the sequential path, keeping the outputs bit-identical.
-    out = predictor.mlp(pooled.reshape(batch.num_graphs, 1, 2 * hidden))
+    # the per-graph path, keeping the outputs bit-identical.
+    out = predictor.mlp(pooled.reshape(batch.num_graphs, 1, pooled.shape[-1]))
     return out.reshape(batch.num_graphs)
+
+
+def forward_graphs(predictor, graphs: Sequence[ArchitectureGraph]) -> Tensor:
+    """Standardised log1p-latency predictions ``(B,)`` for graphs of any sizes.
+
+    Groups ``graphs`` by node count, runs :func:`forward_graph_batch` once
+    per group and returns the predictions in caller order.  Differentiable:
+    training minibatches backpropagate through it.
+    """
+    if not graphs:
+        raise ValueError("cannot forward an empty list of graphs")
+    groups: dict[int, list[int]] = {}
+    for index, graph in enumerate(graphs):
+        groups.setdefault(graph.num_nodes, []).append(index)
+    outputs = [
+        forward_graph_batch(predictor, collate_graphs([graphs[index] for index in indices]))
+        for indices in groups.values()
+    ]
+    if len(outputs) == 1:
+        return outputs[0]
+    order = np.concatenate([np.asarray(indices) for indices in groups.values()])
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.size)
+    return concatenate(outputs, axis=0)[inverse]
 
 
 def predict_latencies(predictor, graphs: Sequence[ArchitectureGraph]) -> np.ndarray:
@@ -153,27 +130,17 @@ def predict_latencies(predictor, graphs: Sequence[ArchitectureGraph]) -> np.ndar
 
     Bit-identical to mapping
     :meth:`~repro.predictor.model.LatencyPredictor.predict_from_graph` over
-    ``graphs``: the graphs are grouped by node count and every group is
-    scored with one fused unpadded forward (see the module docstring for
-    why unpadded shapes are what makes the floats exact).
+    ``graphs`` (see the module docstring).
     """
     if not graphs:
         return np.zeros(0, dtype=WIDE_DTYPE)  # latency milliseconds: metric bookkeeping
-    groups: dict[int, list[int]] = {}
-    for index, graph in enumerate(graphs):
-        groups.setdefault(graph.num_nodes, []).append(index)
     metrics = get_metrics()
     metrics.count("predictor.batch.calls")
     metrics.count("predictor.batch.graphs", len(graphs))
-    metrics.count("predictor.batch.groups", len(groups))
     metrics.observe("predictor.batch.size", float(len(graphs)))
-    latencies = np.empty(len(graphs), dtype=WIDE_DTYPE)
     with no_grad():
-        for indices in groups.values():
-            batch = collate_graphs([graphs[index] for index in indices])
-            # The sequential path denormalizes a Python float (``.item()``
-            # upcasts the network output to float64); match it exactly by
-            # denormalizing in float64 regardless of the compute dtype.
-            standardised = forward_graph_batch(predictor, batch).numpy().astype(WIDE_DTYPE)
-            latencies[indices] = predictor.denormalize_to_ms(standardised)
-    return latencies
+        standardised = forward_graphs(predictor, graphs).numpy()
+    # The per-graph path denormalizes a Python float (``.item()`` upcasts the
+    # network output to float64); match it exactly by denormalizing in
+    # float64 regardless of the compute dtype.
+    return predictor.denormalize_to_ms(standardised.astype(WIDE_DTYPE))

@@ -134,12 +134,12 @@ class LatencyPredictor(Module):
         return self.predict_from_graph(self.encode(architecture))
 
     def predict_many_graphs(self, graphs: list[ArchitectureGraph]) -> np.ndarray:
-        """Latency predictions (ms) for several encoded graphs in one forward.
+        """Latency predictions (ms) for several encoded graphs, batched.
 
-        The graphs are padded into one batch (see
-        :mod:`repro.predictor.batch`) and scored with a single GCN + MLP
-        forward; the result is bit-identical to mapping
-        :meth:`predict_from_graph` over ``graphs``.
+        The graphs are grouped by node count and each group is scored with
+        a single GCN + MLP forward (see :mod:`repro.predictor.batch`); the
+        result is bit-identical to mapping :meth:`predict_from_graph` over
+        ``graphs``.
         """
         return predict_latencies(self, graphs)
 

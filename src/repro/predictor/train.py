@@ -17,7 +17,8 @@ import numpy as np
 
 from repro.nn.loss import huber_loss
 from repro.nn.optim import Adam, clip_grad_norm
-from repro.nn.tensor import Tensor, concatenate, no_grad
+from repro.nn.tensor import Tensor
+from repro.predictor.batch import forward_graphs, predict_latencies
 from repro.predictor.dataset import PredictorDataset
 from repro.predictor.metrics import PredictorMetrics, compute_metrics
 from repro.predictor.model import LatencyPredictor
@@ -102,10 +103,8 @@ def train_predictor(
         epoch_losses: list[float] = []
         for start in range(0, len(order), config.batch_size):
             batch_indices = order[start : start + config.batch_size]
-            predictions = [predictor.forward_graph(samples[int(i)].graph) for i in batch_indices]
-            targets = standardised[batch_indices]
-            stacked = concatenate(predictions, axis=0)
-            loss = huber_loss(stacked, Tensor(targets), delta=1.0)
+            predictions = forward_graphs(predictor, [samples[int(i)].graph for i in batch_indices])
+            loss = huber_loss(predictions, Tensor(standardised[batch_indices]), delta=1.0)
             predictor.zero_grad()
             loss.backward()
             clip_grad_norm(predictor.parameters(), config.grad_clip)
@@ -120,11 +119,6 @@ def train_predictor(
 def evaluate_predictor(predictor: LatencyPredictor, dataset: PredictorDataset) -> PredictorMetrics:
     """Evaluate a predictor on raw latencies: MAPE, bounded accuracy, ranking."""
     predictor.eval()
-    predictions = []
-    measured = []
-    with no_grad():
-        for sample in dataset.samples:
-            predictions.append(predictor.predict_from_graph(sample.graph))
-            measured.append(sample.latency_ms)
+    predictions = predict_latencies(predictor, [sample.graph for sample in dataset.samples])
     predictor.train()
-    return compute_metrics(np.array(predictions), np.array(measured))
+    return compute_metrics(predictions, dataset.latencies())

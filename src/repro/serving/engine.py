@@ -263,7 +263,7 @@ class InferenceEngine:
         # weight hash changes), so a replace=True re-registration can never
         # serve stale cached logits; it also folds in the backend name, which
         # keeps logits computed by different kernel variants (bit-different
-        # under e.g. blocked summation) from aliasing — and, unlike the old
+        # under another summation order) from aliasing — and, unlike the old
         # per-process generation counter, it is identical across the worker
         # processes of a pool, making the key valid in the shared disk tier.
         fingerprint = cloud_fingerprint(

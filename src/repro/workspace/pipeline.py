@@ -61,6 +61,13 @@ _LOGGER = get_logger("workspace")
 #: results, checkpoints and weights keyed before it must not be reused.
 _AGGREGATION_REVISION = 2
 
+#: Revision of predictor training, part of the ``predictor`` key and of the
+#: ``search`` key's ``predictor_training``.  Revision 2 trains on grouped
+#: batch forwards, whose gradients match the earlier per-graph training only
+#: allclose, so predictors (and searches driven by them) keyed before it
+#: must not be reused.
+_PREDICTOR_TRAINING_REVISION = 2
+
 
 @dataclass
 class PredictorBundle:
@@ -185,7 +192,7 @@ class Workspace:
         """The effective compute backend of this workspace's stages.
 
         Part of every compute-stage artifact key: backends are numerically
-        equivalent only to allclose (blocked/jitted summation orders differ),
+        equivalent only to allclose (their summation orders differ),
         so artifacts produced under different backends must not alias.
         """
         return self.backend or active_backend_name()
@@ -286,6 +293,7 @@ class Workspace:
                     # Backends are only allclose-equivalent, so artifacts from
                     # different backends must not alias each other.
                     "backend": self._backend_name(),
+                    "training_revision": _PREDICTOR_TRAINING_REVISION,
                 },
             )
             if not fresh:
@@ -344,7 +352,6 @@ class Workspace:
         strategy: str = "multi-stage",
         predictor_num_samples: int = 200,
         predictor_epochs: int = 40,
-        batched_evaluation: bool | None = None,
         fresh: bool = False,
         resume: bool = False,
         checkpoint: bool | None = None,
@@ -356,8 +363,6 @@ class Workspace:
         ``"predictor"`` and no explicit ``predictor``, the workspace's own
         (cached) :meth:`train_predictor` supplies one, trained with
         ``predictor_num_samples``/``predictor_epochs``.
-        ``batched_evaluation`` overrides the config's population-scoring
-        path (batched fast path vs sequential; the results are identical).
         Results are keyed by device, search config, oracle, strategy, seed
         and dataset fingerprints, so the genotype and its history survive
         restarts.
@@ -380,25 +385,15 @@ class Workspace:
         if strategy not in ("multi-stage", "one-stage"):
             raise ValueError(f"unknown search strategy '{strategy}' (use 'multi-stage' or 'one-stage')")
         config = config or HGNASConfig(num_classes=train_dataset.num_classes, seed=seed)
-        if batched_evaluation is not None and batched_evaluation != config.batched_evaluation:
-            config = dataclasses.replace(config, batched_evaluation=batched_evaluation)
         # Any evaluator (including custom ones) may consult the workspace's
         # predictor factory when no explicit predictor is given, so the
         # factory's knobs are part of the result's identity in that case.
         may_use_workspace_predictor = predictor is None
-        # The evaluation path (batched vs sequential) is excluded from the
-        # key: it is bit-identical by contract, so both produce the same
-        # artifact (and pre-existing cached results keep their identity).
-        config_key = {
-            field: value
-            for field, value in dataclasses.asdict(config).items()
-            if field != "batched_evaluation"
-        }
         key = self.store.key_for(
             "search",
             {
                 "device": self._device_key(),
-                "config": config_key,
+                "config": dataclasses.asdict(config),
                 "oracle": oracle,
                 "strategy": strategy,
                 "seed": seed,
@@ -413,6 +408,7 @@ class Workspace:
                         "num_samples": predictor_num_samples,
                         "epochs": predictor_epochs,
                         "defaults": self.defaults.key_dict(),
+                        "training_revision": _PREDICTOR_TRAINING_REVISION,
                     }
                     if may_use_workspace_predictor
                     else None

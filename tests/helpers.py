@@ -19,3 +19,13 @@ def finite_difference_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
         flat[i] = original
         grad_flat[i] = (upper - lower) / (2 * eps)
     return grad
+
+
+def per_architecture_objectives(search, supernet, architectures) -> np.ndarray:
+    """Sequential oracle for ``HGNAS._objective_many``.
+
+    Scores the cohort one architecture at a time, so a predictor oracle
+    makes one per-graph ``forward_graph`` query per architecture and no
+    batched latency prefetch happens.
+    """
+    return np.array([search._objective(supernet, architecture) for architecture in architectures])

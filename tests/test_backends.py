@@ -15,7 +15,6 @@ import pytest
 from repro.backends import (
     ComputeBackend,
     NumpyBackend,
-    NumpyBlockedBackend,
     active_backend,
     active_backend_name,
     backend_status,
@@ -47,7 +46,7 @@ from repro.serving.engine import EngineConfig, InferenceEngine
 from repro.workspace import Workspace
 
 #: Every shipped backend other than the ``numpy`` reference.
-EQUIVALENCE_BACKENDS = ["numpy-blocked", "materialized"]
+EQUIVALENCE_BACKENDS = ["materialized"]
 
 
 @pytest.fixture(autouse=True)
@@ -59,19 +58,13 @@ def _restore_active_backend():
 
 
 class TestRegistry:
-    def test_shipped_backends_registered(self, request):
-        names = list_backends()
-        assert "numpy" in names
-        assert "numpy-blocked" in names
-        assert "materialized" in names
-        # The suite-wide --backend option (conftest.py) pins the active
-        # backend; without it the reference backend is the default.
-        expected = request.config.getoption("--backend") or "numpy"
-        assert active_backend_name() == expected
+    def test_shipped_backends_registered(self):
+        assert {"numpy", "materialized"} <= set(list_backends())
+        assert active_backend_name() == "numpy"
 
     def test_get_backend_canonicalizes_and_reports_unknown(self):
         assert get_backend("NumPy").name == "numpy"
-        assert get_backend("  numpy-blocked ").name == "numpy-blocked"
+        assert get_backend("  Materialized ").name == "materialized"
         with pytest.raises(KeyError, match="registered"):
             get_backend("cuda")
 
@@ -103,12 +96,12 @@ class TestRegistry:
 
     def test_use_backend_nests_and_restores_on_error(self):
         ambient = active_backend_name()
-        with use_backend("numpy-blocked") as outer:
-            assert outer.name == "numpy-blocked"
-            assert active_backend_name() == "numpy-blocked"
-            with use_backend("materialized"):
-                assert active_backend_name() == "materialized"
-            assert active_backend_name() == "numpy-blocked"
+        with use_backend("materialized") as outer:
+            assert outer.name == "materialized"
+            assert active_backend_name() == "materialized"
+            with use_backend("numpy"):
+                assert active_backend_name() == "numpy"
+            assert active_backend_name() == "materialized"
         assert active_backend_name() == ambient
         with pytest.raises(RuntimeError, match="boom"):
             with use_backend("materialized"):
@@ -129,7 +122,10 @@ class TestRegistry:
             base.gather(np.ones((2, 2)), np.array([0]))
 
     def test_metric_name_is_dot_segment_safe(self):
-        assert NumpyBlockedBackend().metric_name == "numpy_blocked"
+        class Dashed(NumpyBackend):
+            name = "numpy-dashed"
+
+        assert Dashed().metric_name == "numpy_dashed"
         assert NumpyBackend().metric_name == "numpy"
 
 
@@ -140,7 +136,6 @@ class TestPrimitiveEquivalence:
     def test_matmul(self, backend_name, rng):
         reference = get_backend("numpy")
         backend = get_backend(backend_name)
-        # K=300 exceeds the blocked backend's K-block of 128.
         a = rng.normal(size=(17, 300)).astype(np.float32)
         b = rng.normal(size=(300, 23)).astype(np.float32)
         np.testing.assert_allclose(backend.matmul(a, b), reference.matmul(a, b), rtol=1e-5, atol=1e-5)
@@ -150,7 +145,6 @@ class TestPrimitiveEquivalence:
     def test_segment_reduce(self, backend_name, aggregator, rng):
         reference = get_backend("numpy")
         backend = get_backend(backend_name)
-        # Ragged segments over a width beyond the column block of 32.
         counts = np.array([3, 1, 7, 2, 5], dtype=np.int64)
         starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
         values = rng.normal(size=(int(counts.sum()), 50)).astype(np.float32)
@@ -219,7 +213,6 @@ class TestKernelEquivalence:
         for aggregator in ("sum", "max"):
             with default_dtype(dtype):
                 width = message_dim(message_type, 3)
-                # Hidden width 40 exceeds the blocked column block of 32.
                 mlp = MLP([width, 40, 8], activation="leaky_relu", final_activation=True,
                           rng=np.random.default_rng(3))
             expected, x_grad, w_grads = self._reference_forward_backward(
@@ -307,10 +300,8 @@ class TestKernelEquivalence:
         np.testing.assert_array_equal(looked_up.data, table.data[indices])
         assert table.grad.shape == table.shape
 
-    def test_numpy_backend_is_bit_identical_default(self, rng, request):
+    def test_numpy_backend_is_bit_identical_default(self, rng):
         """use_backend('numpy') must not change a single bit vs the ambient default."""
-        if request.config.getoption("--backend") not in (None, "numpy"):
-            pytest.skip("suite is pinned to a non-reference backend")
         points = rng.normal(size=(30, 3)).astype(np.float32)
         edge_index = knn_graph(points, 5)
         baseline = fused_edgeconv(Tensor(points), edge_index, message_type="target_rel", aggregator="mean")
@@ -433,27 +424,27 @@ class TestBackendPlumbing:
     def test_engine_config_validates_backend(self):
         with pytest.raises(KeyError):
             EngineConfig(backend="not-a-backend")
-        assert EngineConfig(backend="numpy-blocked").backend == "numpy-blocked"
+        assert EngineConfig(backend="materialized").backend == "materialized"
 
     def test_engine_results_equivalent_across_backends(self, rng):
         workspace, deployed = self._workspace_with_model()
         clouds = self._clouds(rng)
         reference = InferenceEngine(workspace.registry, EngineConfig(max_batch_size=4))
-        blocked = InferenceEngine(
-            workspace.registry, EngineConfig(max_batch_size=4, backend="numpy-blocked")
+        materialized = InferenceEngine(
+            workspace.registry, EngineConfig(max_batch_size=4, backend="materialized")
         )
         want = reference.submit_many(deployed.name, clouds)
-        got = blocked.submit_many(deployed.name, clouds)
+        got = materialized.submit_many(deployed.name, clouds)
         for a, b in zip(got, want):
             assert a.label == b.label
             np.testing.assert_allclose(a.logits, b.logits, rtol=1e-4, atol=1e-5)
 
     def test_workspace_threads_backend_into_engine(self, rng):
-        workspace, deployed = self._workspace_with_model(backend="numpy-blocked")
-        assert workspace.backend == "numpy-blocked"
+        workspace, deployed = self._workspace_with_model(backend="materialized")
+        assert workspace.backend == "materialized"
         report = workspace.serve(self._clouds(rng, 4), name=deployed.name)
         assert len(report.results) == 4
-        assert workspace.engine().config.backend == "numpy-blocked"
+        assert workspace.engine().config.backend == "materialized"
 
     def test_workspace_rejects_unknown_backend(self):
         with pytest.raises(KeyError):
@@ -463,11 +454,11 @@ class TestBackendPlumbing:
         from repro.obs import get_tracer, reset_observability
 
         reset_observability()
-        workspace, deployed = self._workspace_with_model(backend="numpy-blocked")
+        workspace, deployed = self._workspace_with_model(backend="materialized")
         workspace.serve(self._clouds(rng, 2), name=deployed.name)
         spans = {span.name: span for span in get_tracer().spans}
-        assert spans["workspace.serve"].attributes["backend"] == "numpy-blocked"
-        assert spans["workspace.deploy"].attributes["backend"] == "numpy-blocked"
+        assert spans["workspace.serve"].attributes["backend"] == "materialized"
+        assert spans["workspace.deploy"].attributes["backend"] == "materialized"
         reset_observability()
 
     def test_calibrate_backend_target(self):
@@ -491,12 +482,12 @@ class TestBackendPlumbing:
     def test_cli_backends_subcommand(self, capsys):
         assert cli_main(["backends"]) == 0
         out = capsys.readouterr().out
-        assert "numpy-blocked" in out
+        assert "numpy" in out
         assert "materialized" in out
 
     def test_cli_serve_with_backend(self, capsys):
         code = cli_main(
-            ["serve", "--requests", "4", "--num-points", "16", "--backend", "numpy-blocked"]
+            ["serve", "--requests", "4", "--num-points", "16", "--backend", "materialized"]
         )
         assert code == 0
         assert cli_main(["serve", "--requests", "1", "--backend", "bogus"]) == 2

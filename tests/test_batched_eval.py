@@ -1,9 +1,10 @@
-"""Tests for the batched population-evaluation fast path (PR 3).
+"""Tests for the grouped batch forward of the latency predictor.
 
-Covers the predictor's batched forward (bit-identical to the sequential
-path), the evolution engine's ``evaluate_many`` hook, the two bugfixes
-(``knn_indices`` self-loop padding, degenerate ``num_parents``) and the
-batched-vs-sequential equivalence of a full HGNAS search.
+Covers ``forward_graphs`` against the per-graph ``forward_graph`` oracle
+(bit-identical predictions, allclose training gradients), the evolution
+engine's ``evaluate_many`` hook, the two bugfixes (``knn_indices``
+self-loop padding, degenerate ``num_parents``) and a full HGNAS search
+against a per-architecture scoring oracle.
 """
 
 import dataclasses
@@ -22,10 +23,19 @@ from repro.nas.latency_eval import (
     evaluate_latencies,
     make_latency_evaluator,
 )
-from repro.predictor.batch import collate_graphs, forward_graph_batch
+from repro.nn.dtype import default_dtype
+from repro.nn.loss import huber_loss
+from repro.nn.tensor import Tensor, concatenate
+from repro.obs.metrics import MetricsRegistry, use_metrics
+from repro.predictor.batch import collate_graphs, forward_graphs
+from repro.predictor.dataset import generate_predictor_dataset
 from repro.predictor.evaluator import PredictorLatencyEvaluator
+from repro.predictor.metrics import compute_metrics
 from repro.predictor.model import LatencyPredictor, PredictorConfig
+from repro.predictor.train import evaluate_predictor
 from repro.utils.timer import VirtualClock
+
+from helpers import per_architecture_objectives
 
 
 @pytest.fixture(scope="module")
@@ -59,38 +69,23 @@ class TestBatchedPredictor:
         assert single.shape == (1,)
         assert single[0] == predictor.predict_latency_ms(architectures[0])
 
-    def test_collate_shapes_and_padding(self, population):
+    def test_collate_stacks_one_node_count_and_rejects_mixed(self, population):
         architectures, predictor = population
         graphs = [predictor.encode(arch) for arch in architectures]
-        batch = collate_graphs(graphs)
-        counts = np.array([graph.num_nodes for graph in graphs])
-        assert batch.num_graphs == len(graphs)
-        assert batch.max_nodes == counts.max()
-        np.testing.assert_array_equal(batch.node_counts, counts)
-        assert batch.flat_rows.shape == (counts.sum(),)
-        # Padded feature rows stay zero; valid rows match the originals.
-        for index, graph in enumerate(graphs):
-            n = graph.num_nodes
-            np.testing.assert_array_equal(batch.features[index, :n], graph.features)
-            assert not batch.features[index, n:].any()
+        size = graphs[0].num_nodes
+        uniform = [graph for graph in graphs if graph.num_nodes == size]
+        batch = collate_graphs(uniform)
+        assert batch.features.shape == (len(uniform), size, graphs[0].features.shape[1])
+        for index, graph in enumerate(uniform):
+            np.testing.assert_array_equal(batch.features[index], graph.features)
+            np.testing.assert_array_equal(batch.aggregation[index], graph.aggregation_matrix())
+        mixed = uniform[:1] + [graph for graph in graphs if graph.num_nodes != size][:1]
+        with pytest.raises(ValueError, match="mixed node counts"):
+            collate_graphs(mixed)
 
     def test_collate_empty_raises(self):
         with pytest.raises(ValueError):
             collate_graphs([])
-
-    def test_mixed_size_forward_close(self, population):
-        # The padded mixed-size forward (used when callers skip the
-        # size-grouped path) is numerically equivalent, though not
-        # guaranteed bit-exact across BLAS kernels.
-        architectures, predictor = population
-        graphs = [predictor.encode(arch) for arch in architectures]
-        batch = collate_graphs(graphs)
-        from repro.nn.tensor import no_grad
-
-        with no_grad():
-            batched = forward_graph_batch(predictor, batch).numpy()
-        sequential = np.array([predictor.forward_graph(graph).item() for graph in graphs])
-        np.testing.assert_allclose(batched, sequential, rtol=1e-9)
 
     def test_predictor_evaluator_batch(self, population):
         architectures, predictor = population
@@ -98,6 +93,50 @@ class TestBatchedPredictor:
         batched = evaluator.evaluate_many(architectures[:8])
         sequential = np.array([evaluator.evaluate(arch) for arch in architectures[:8]])
         np.testing.assert_array_equal(batched, sequential)
+
+
+class TestForwardGraphs:
+    """The grouped forward every multi-graph caller uses, against the per-graph oracle."""
+
+    def test_predictions_in_caller_order_bit_identical(self, population):
+        architectures, predictor = population
+        graphs = [predictor.encode(arch) for arch in architectures]
+        assert len({graph.num_nodes for graph in graphs}) >= 3
+        grouped = forward_graphs(predictor, graphs)
+        assert grouped.requires_grad
+        per_graph = [predictor.forward_graph(graph).item() for graph in graphs]
+        np.testing.assert_array_equal(grouped.numpy(), per_graph)
+        with pytest.raises(ValueError):
+            forward_graphs(predictor, [])
+
+    def test_loss_and_gradients_match_per_graph_forward(self, population):
+        architectures, _ = population
+        with default_dtype("float64"):
+            predictor = LatencyPredictor(PredictorConfig(gcn_dims=(16, 24, 24), mlp_dims=(16, 8)))
+            graphs = [predictor.encode(arch) for arch in architectures[:16]]
+            assert len({graph.num_nodes for graph in graphs}) >= 3
+            targets = Tensor(np.linspace(-1.5, 1.5, len(graphs)))
+            grouped = huber_loss(forward_graphs(predictor, graphs), targets, delta=1.0)
+            grouped.backward()
+            grouped_grads = {name: param.grad.copy() for name, param in predictor.named_parameters()}
+            predictor.zero_grad()
+            per_graph = concatenate([predictor.forward_graph(graph) for graph in graphs], axis=0)
+            reference = huber_loss(per_graph, targets, delta=1.0)
+            reference.backward()
+        assert grouped.dtype == np.float64
+        np.testing.assert_allclose(grouped.item(), reference.item(), rtol=1e-12)
+        for name, param in predictor.named_parameters():
+            np.testing.assert_allclose(grouped_grads[name], param.grad, rtol=1e-9, atol=1e-12, err_msg=name)
+
+    def test_evaluate_predictor_matches_per_graph_oracle(self, population):
+        _, predictor = population
+        space = DesignSpace(DesignSpaceConfig(num_positions=12))
+        dataset = generate_predictor_dataset(space, get_device("jetson-tx2"), 30, np.random.default_rng(5))
+        oracle = compute_metrics(
+            np.array([predictor.predict_from_graph(sample.graph) for sample in dataset.samples]),
+            np.array([sample.latency_ms for sample in dataset.samples]),
+        )
+        assert evaluate_predictor(predictor, dataset) == oracle
 
 
 class TestEvaluateLatencies:
@@ -261,7 +300,8 @@ class TestEvolutionBatched:
 
 
 class TestSearchEquivalence:
-    def test_full_search_batched_matches_sequential(self, tiny_train, tiny_test):
+    def test_full_search_batched_matches_sequential(self, tiny_train, tiny_test, monkeypatch):
+        """The grouped cohort scoring reproduces one per-graph predictor query per architecture."""
         config = HGNASConfig(
             num_positions=6,
             hidden_dim=12,
@@ -279,19 +319,23 @@ class TestSearchEquivalence:
         )
         predictor = LatencyPredictor(PredictorConfig(gcn_dims=(16, 24, 24), mlp_dims=(16, 8)))
         predictor.set_target_normalization(1.5, 0.7)
-        results = {}
-        for batched in (True, False):
-            search = HGNAS.for_device(
-                dataclasses.replace(config, batched_evaluation=batched),
+
+        def run():
+            return HGNAS.for_device(
+                config,
                 tiny_train,
                 tiny_test,
                 get_device("jetson-tx2"),
                 latency_oracle="predictor",
                 predictor=predictor,
                 rng=np.random.default_rng(0),
-            )
-            results[batched] = search.run()
-        batched_result, sequential_result = results[True], results[False]
+            ).run()
+
+        batched_result = run()
+        with monkeypatch.context() as patch, use_metrics(MetricsRegistry()) as metrics:
+            patch.setattr(HGNAS, "_objective_many", per_architecture_objectives)
+            sequential_result = run()
+        assert "predictor.batch.calls" not in metrics
         assert (
             batched_result.best_architecture.key() == sequential_result.best_architecture.key()
         )

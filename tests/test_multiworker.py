@@ -87,7 +87,7 @@ class TestDeploymentFingerprint:
         entry_a = _make_registry(seed=0).get("model")
         entry_b = _make_registry(seed=99).get("model")
         assert deployment_fingerprint(entry_a, "numpy") != deployment_fingerprint(entry_b, "numpy")
-        assert deployment_fingerprint(entry_a, "numpy") != deployment_fingerprint(entry_a, "numpy-blocked")
+        assert deployment_fingerprint(entry_a, "numpy") != deployment_fingerprint(entry_a, "materialized")
 
 
 class TestPoolConfig:

@@ -1,5 +1,8 @@
 """Tests for the autograd engine: forward values and gradients."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -174,6 +177,32 @@ class TestBackward:
     def test_backward_on_non_grad_tensor_raises(self):
         with pytest.raises(RuntimeError):
             Tensor([1.0]).backward()
+
+    def test_backward_releases_the_graph(self, rng):
+        """Activations die by reference counting once the step's tensors are dropped."""
+        layer = Linear(3, 5, rng=rng)
+        gc.disable()
+        try:
+            hidden = F.relu(layer(Tensor(rng.normal(size=(4, 3)))))
+            activation = weakref.ref(hidden.data)
+            loss = (hidden * hidden).sum()
+            loss.backward()
+            del hidden, loss
+            assert activation() is None
+        finally:
+            gc.enable()
+        assert layer.weight.grad is not None
+
+    def test_second_backward_through_released_graph_raises(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        loss = (x * x).sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="released"):
+            loss.backward()
+        shared = x * 3.0
+        (shared * 2.0).sum().backward()
+        with pytest.raises(RuntimeError, match="released"):
+            (shared + 1.0).sum().backward()
 
 
 class TestGradMode:

@@ -10,6 +10,7 @@ from repro.nas import Architecture, DesignSpace, DesignSpaceConfig, OperationTyp
 from repro.nas.ops import FunctionSet, random_function_set
 from repro.nn import Tensor
 from repro.nn import functional as F
+from repro.obs.metrics import DEFAULT_BUCKETS, Histogram
 from repro.predictor import FEATURE_DIM, architecture_to_graph
 
 _DEVICES = ("rtx3080", "i7-8700k", "jetson-tx2", "raspberry-pi")
@@ -162,3 +163,20 @@ class TestHardwareProperties:
         sample_ops = workload.count("knn_sample") + workload.count("random_sample")
         assert sample_ops == architecture.num_valid_samples()
         _ = OperationType  # imported for other tests in this module
+
+
+class TestHistogramProperties:
+    @given(
+        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
+        st.one_of(
+            st.just(DEFAULT_BUCKETS),
+            st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8, unique=True).map(sorted),
+        ),
+        st.floats(0.0, 100.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_percentile_lies_in_observed_range(self, values, buckets, q):
+        histogram = Histogram("h", buckets=buckets)
+        for value in values:
+            histogram.observe(value)
+        assert min(values) <= histogram.percentile(q) <= max(values)

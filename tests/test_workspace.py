@@ -350,6 +350,42 @@ class TestAggregationRevisionKeys:
         assert ws.store.misses == 2
 
 
+class TestPredictorTrainingRevisionKeys:
+    def test_store_populated_under_the_old_key_payload_misses(self, tmp_path, tiny_train, tiny_test, monkeypatch):
+        """Predictors trained graph by graph, and the searches they drove, are
+        only allclose to grouped-batch training: never reused."""
+        kwargs = dict(
+            config=tiny_search_config(tiny_train.num_classes),
+            latency_oracle="predictor",
+            predictor_num_samples=30,
+            predictor_epochs=3,
+        )
+        real_key_for = ArtifactStore.key_for
+        revised = []
+
+        def old_key_for(store, stage, inputs):
+            inputs = dict(inputs)
+            training = inputs.get("predictor_training") or {}
+            if "training_revision" in inputs or "training_revision" in training:
+                revised.append(stage)
+            inputs.pop("training_revision", None)
+            if training:
+                inputs["predictor_training"] = {f: v for f, v in training.items() if f != "training_revision"}
+            return real_key_for(store, stage, inputs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ArtifactStore, "key_for", old_key_for)
+            old = Workspace(device="tx2", root=tmp_path)
+            old.search(tiny_train, tiny_test, **kwargs)
+        assert revised == ["search", "predictor"]
+        assert old.store.misses == 2
+
+        ws = Workspace(device="tx2", root=tmp_path)
+        ws.search(tiny_train, tiny_test, **kwargs)
+        assert ws.store.hits == 0
+        assert ws.store.misses == 2
+
+
 class TestDeriveDeployServe:
     def test_trained_derive_is_cached(self, tmp_path, tiny_train, monkeypatch):
         calls = {"fit": 0}
